@@ -587,24 +587,28 @@ func measureSpMV() map[string]spmvResult {
 	}
 	for _, f := range sparse.Formats {
 		mat := sparse.Convert(csr, f)
-		bench(f, mat.NNZ(), func() { mat.MultiplyAdd(y, x) })
+		full := mat.Kernel().Set
+		bench(f, mat.NNZ(), func() { mat.MultiplyAddPart(y, x, full) })
 	}
 	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(64, 64))
-	bench("MatrixFree", op.NNZ(), func() { op.MultiplyAdd(y, x) })
+	full := op.Kernel().Set
+	bench("MatrixFree", op.NNZ(), func() { op.MultiplyAddPart(y, x, full) })
 	return out
 }
 
-// spmvNs times y += A·x with a fixed budget: repeated timed batches,
-// best batch mean kept. Cheaper than testing.Benchmark for the 30-cell
-// auto sweep, and the min is what a tuner should be judged against.
+// spmvNs times y += A·x — the Part kernel over the full kernel space, the
+// kernel solves run — with a fixed budget: repeated timed batches, best
+// batch mean kept. Cheaper than testing.Benchmark for the 30-cell auto
+// sweep, and the min is what a tuner should be judged against.
 func spmvNs(m sparse.Matrix, y, x []float64) float64 {
-	m.MultiplyAdd(y, x) // warm caches and lazy structures
+	full := m.Kernel().Set
+	m.MultiplyAddPart(y, x, full) // warm caches and lazy structures
 	best := float64(0)
 	for r := 0; r < 5; r++ {
 		const batch = 50
 		start := time.Now()
 		for i := 0; i < batch; i++ {
-			m.MultiplyAdd(y, x)
+			m.MultiplyAddPart(y, x, full)
 		}
 		ns := float64(time.Since(start).Nanoseconds()) / float64(batch)
 		if best == 0 || ns < best {
@@ -614,12 +618,14 @@ func spmvNs(m sparse.Matrix, y, x []float64) float64 {
 	return best
 }
 
-// spmvNsInterleaved times y += A·x for every candidate in lockstep
-// rounds (one batch per candidate per round) and returns each
-// candidate's best batch mean.
+// spmvNsInterleaved times y += A·x (the Part kernel over the full
+// kernel space) for every candidate in lockstep rounds (one batch per
+// candidate per round) and returns each candidate's best batch mean.
 func spmvNsInterleaved(ms []sparse.Matrix, y, x []float64, batch int) []float64 {
-	for _, m := range ms {
-		m.MultiplyAdd(y, x) // warm caches and lazy structures
+	full := make([]index.IntervalSet, len(ms))
+	for i, m := range ms {
+		full[i] = m.Kernel().Set
+		m.MultiplyAddPart(y, x, full[i]) // warm caches and lazy structures
 	}
 	best := make([]float64, len(ms))
 	const rounds = 9
@@ -627,7 +633,7 @@ func spmvNsInterleaved(ms []sparse.Matrix, y, x []float64, batch int) []float64 
 		for i, m := range ms {
 			start := time.Now()
 			for b := 0; b < batch; b++ {
-				m.MultiplyAdd(y, x)
+				m.MultiplyAddPart(y, x, full[i])
 			}
 			ns := float64(time.Since(start).Nanoseconds()) / float64(batch)
 			if best[i] == 0 || ns < best[i] {

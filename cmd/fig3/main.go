@@ -67,7 +67,7 @@ func main() {
 func coPartitioningSound(m sparse.Matrix, x []float64) bool {
 	rows, cols := sparse.Dims(m)
 	want := make([]float64, rows)
-	m.MultiplyAdd(want, x)
+	sparse.SpMV(m, want, x)
 	rp := index.EqualPartition(m.Range(), 4)
 	for c := 0; c < 4; c++ {
 		kset := dpart.RowRToK(m.RowRelation(), rp).Piece(c)

@@ -3,7 +3,8 @@
 // library's universal co-partitioning operators and solvers with no
 // library changes. The format below ("JDS-lite", a jagged-diagonal-style
 // layout with rows sorted by length) only has to expose its row and
-// column relations; everything else (partition derivation, halo
+// column relations and write one multiply-add kernel per direction over a
+// set of kernel points; everything else (partition derivation, halo
 // computation, dependence analysis, solving) is format-independent.
 package main
 
@@ -76,14 +77,9 @@ func (j *JDSLite) ColRelation() dpart.Relation { return j.colRel }
 func (j *JDSLite) NNZ() int64                  { return int64(len(j.vals)) }
 func (j *JDSLite) Format() string              { return "JDS-lite (user-defined)" }
 
-func (j *JDSLite) MultiplyAdd(y, x []float64) {
-	j.MultiplyAddPart(y, x, j.Kernel().Set)
-}
-
-func (j *JDSLite) MultiplyAddT(y, x []float64) {
-	j.MultiplyAddTPart(y, x, j.Kernel().Set)
-}
-
+// The format's only kernels: y += A·x and y += Aᵀ·x restricted to a set
+// of kernel points. The whole product (sparse.SpMV) is the restriction to
+// all of K, so there is no second, whole-matrix form to keep in step.
 func (j *JDSLite) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	kset.EachInterval(func(iv index.Interval) {
 		for k := iv.Lo; k <= iv.Hi; k++ {

@@ -7,7 +7,6 @@ import (
 	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
-	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/region"
 	"kdrsolvers/internal/sparse"
 	"kdrsolvers/internal/taskrt"
@@ -208,16 +207,6 @@ func (p *Planner) TraceEnd(began bool) {
 		p.sess.EndTrace()
 		p.traceOpen = false
 	}
-}
-
-// EnableProfiling attaches a fresh observability recorder to the
-// runtime and returns it: from now on every executed task records real
-// wall-clock timing (launch, start, end, worker) alongside the
-// simulated costs already in the graph.
-func (p *Planner) EnableProfiling() *obs.Recorder {
-	rec := obs.NewRecorder()
-	p.sess.SetRecorder(rec)
-	return rec
 }
 
 // Machine returns the machine model used for task costs.

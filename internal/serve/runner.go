@@ -225,7 +225,7 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 			p.EnableSDCDetection(0) // observe-only without the resilient driver
 		}
 		s := newSolver()
-		res = stepLoop(s, spec.Tol, spec.MaxIter, opt.Telemetry)
+		res = solvers.Solve(s, spec.Tol, spec.MaxIter, opt.Telemetry)
 		if g, ok := s.(*solvers.GCRODR); ok && opt.Cache != nil && res.Converged {
 			p.Drain()
 			g.SaveRecycleSpace()
@@ -261,35 +261,6 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 	out.Session = sess.Stats()
 	out.X = x
 	return out
-}
-
-// stepLoop mirrors solvers.Solve — synchronize on the convergence
-// measure each iteration — with an optional per-iteration telemetry
-// hook.
-func stepLoop(s solvers.Solver, tol float64, maxIter int, telemetry func(int, float64)) solvers.Result {
-	res := math.Sqrt(s.ConvergenceMeasure().Value())
-	if telemetry != nil {
-		telemetry(0, res)
-	}
-	if res <= tol {
-		return solvers.Result{Iterations: 0, Residual: res, Converged: true}
-	}
-	for i := 1; i <= maxIter; i++ {
-		s.Step()
-		res = math.Sqrt(s.ConvergenceMeasure().Value())
-		if telemetry != nil {
-			telemetry(i, res)
-		}
-		if res <= tol || math.IsNaN(res) {
-			return solvers.Result{Iterations: i, Residual: res, Converged: res <= tol}
-		}
-		if bc, ok := s.(solvers.BreakdownChecker); ok {
-			if err := bc.Breakdown(); err != nil {
-				return solvers.Result{Iterations: i, Residual: res, Breakdown: err}
-			}
-		}
-	}
-	return solvers.Result{Iterations: maxIter, Residual: res, Converged: false}
 }
 
 // flattenCheckpoint concatenates a planner checkpoint's per-component

@@ -213,9 +213,19 @@ func guardedDiv(p *core.Planner, f *breakdownFlag, method, what string, a, b *co
 
 // Solve steps until the residual norm drops below tol or maxIter steps
 // have run. It synchronizes on the convergence measure every iteration,
-// like the paper's driver loop.
-func Solve(s Solver, tol float64, maxIter int) Result {
+// like the paper's driver loop. Each non-nil observe function is called
+// with the iteration number and that measure, for the initial residual
+// (iteration 0) and after every step.
+func Solve(s Solver, tol float64, maxIter int, observe ...func(iter int, res float64)) Result {
+	report := func(i int, res float64) {
+		for _, f := range observe {
+			if f != nil {
+				f(i, res)
+			}
+		}
+	}
 	res := math.Sqrt(s.ConvergenceMeasure().Value())
+	report(0, res)
 	if res <= tol {
 		// The pre-iteration measure is an honest Dot of the initial
 		// residual in every solver here; no verification needed.
@@ -224,6 +234,7 @@ func Solve(s Solver, tol float64, maxIter int) Result {
 	for i := 1; i <= maxIter; i++ {
 		s.Step()
 		res = math.Sqrt(s.ConvergenceMeasure().Value())
+		report(i, res)
 		if math.IsNaN(res) {
 			return Result{Iterations: i, Residual: res, TrueResidual: res, Converged: false}
 		}

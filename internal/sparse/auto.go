@@ -213,22 +213,6 @@ func (a *Auto) ColRelation() dpart.Relation {
 	return a.colRel
 }
 
-// MultiplyAdd implements Matrix.
-func (a *Auto) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for _, t := range a.tiles {
-		t.mat.MultiplyAdd(y[t.r0:t.r1], x)
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *Auto) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for _, t := range a.tiles {
-		t.mat.MultiplyAddT(y, x[t.r0:t.r1])
-	}
-}
-
 // localKset clips a global kernel set to one tile and rebases it into
 // the tile's kernel space.
 func (t *autoTile) localKset(kset index.IntervalSet) index.IntervalSet {

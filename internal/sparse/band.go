@@ -75,38 +75,20 @@ func (a *Band) NNZ() int64 { return int64(len(a.offsets)) * a.cols }
 // Format implements Matrix.
 func (a *Band) Format() string { return "Band" }
 
-// at returns the entry for kernel slot (b, j), or 0 when out of range.
-func (a *Band) at(b int, j int64) float64 {
-	i := j - a.offsets[b]
-	if i < 0 || i >= a.rows || a.coeff == nil {
-		return 0
-	}
-	return a.coeff(b, j)
-}
-
-// MultiplyAdd implements Matrix.
-func (a *Band) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.MultiplyAddPart(y, x, a.Kernel().Set)
-}
-
-// MultiplyAddT implements Matrix.
-func (a *Band) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.MultiplyAddTPart(y, x, a.Kernel().Set)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *Band) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
+	CheckShapes(a, y, x)
+	if a.coeff == nil {
+		return
+	}
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := int(k/a.cols), k%a.cols
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.rows {
-				continue
-			}
-			if v := a.at(b, j); v != 0 {
-				y[i] += v * x[j]
+		for b, bEnd := iv.Lo/a.cols, iv.Hi/a.cols; b <= bEnd; b++ {
+			off := a.offsets[b]
+			jLo, jHi := diagCols(iv, b, off, a.rows, a.cols)
+			for j := jLo; j <= jHi; j++ {
+				if v := a.coeff(int(b), j); v != 0 {
+					y[j-off] += v * x[j]
+				}
 			}
 		}
 	})
@@ -114,15 +96,18 @@ func (a *Band) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 
 // MultiplyAddTPart implements Matrix.
 func (a *Band) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
+	checkShapesT(a, y, x)
+	if a.coeff == nil {
+		return
+	}
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := int(k/a.cols), k%a.cols
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.rows {
-				continue
-			}
-			if v := a.at(b, j); v != 0 {
-				y[j] += v * x[i]
+		for b, bEnd := iv.Lo/a.cols, iv.Hi/a.cols; b <= bEnd; b++ {
+			off := a.offsets[b]
+			jLo, jHi := diagCols(iv, b, off, a.rows, a.cols)
+			for j := jLo; j <= jHi; j++ {
+				if v := a.coeff(int(b), j); v != 0 {
+					y[j] += v * x[j-off]
+				}
 			}
 		}
 	})

@@ -38,7 +38,7 @@ func TestBandNilCoeffIsZero(t *testing.T) {
 	band := NewBand(4, 4, []int64{0, 1}, nil)
 	x := []float64{1, 2, 3, 4}
 	y := make([]float64, 4)
-	band.MultiplyAdd(y, x)
+	SpMV(band, y, x)
 	for _, v := range y {
 		if v != 0 {
 			t.Fatal("nil coeff must contribute nothing")
@@ -59,9 +59,9 @@ func TestBandAdjointAndParts(t *testing.T) {
 		x[i] = float64(i) - 3.5
 	}
 	want := make([]float64, n)
-	ref.MultiplyAddT(want, x)
+	SpMVT(ref, want, x)
 	got := make([]float64, n)
-	band.MultiplyAddT(got, x)
+	SpMVT(band, got, x)
 	if !densesEqual(got, want, 1e-15) {
 		t.Fatal("Band adjoint wrong")
 	}
@@ -74,7 +74,7 @@ func TestBandAdjointAndParts(t *testing.T) {
 		band.MultiplyAddTPart(ad, x, kp.Piece(c))
 	}
 	wantF := make([]float64, n)
-	band.MultiplyAdd(wantF, x)
+	SpMV(ref, wantF, x)
 	if !densesEqual(fw, wantF, 1e-15) || !densesEqual(ad, want, 1e-15) {
 		t.Fatal("Band partitioned kernels wrong")
 	}
@@ -123,8 +123,8 @@ func TestVirtualTileKernelsPanic(t *testing.T) {
 	y := make([]float64, 4)
 	x := make([]float64, 4)
 	for _, fn := range []func(){
-		func() { v.MultiplyAdd(y, x) },
-		func() { v.MultiplyAddT(y, x) },
+		func() { SpMV(v, y, x) },
+		func() { SpMVT(v, y, x) },
 		func() { v.MultiplyAddPart(y, x, index.Span(0, 1)) },
 		func() { v.MultiplyAddTPart(y, x, index.Span(0, 1)) },
 	} {

@@ -134,82 +134,85 @@ func (a *BCSC) Format() string { return "BCSC" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSC) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix.
-func (a *BCSC) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	nbc := a.cols / a.bd
-	for bj := int64(0); bj < nbc; bj++ {
-		xo := bj * a.bd
-		for b := a.colptr[bj]; b < a.colptr[bj+1]; b++ {
-			yo := a.brow[b] * a.br
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				var sum float64
-				for c := int64(0); c < a.bd; c++ {
-					sum += a.vals[base+c] * x[xo+c]
-				}
-				y[yo+r] += sum
-			}
-		}
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *BCSC) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	nbc := a.cols / a.bd
-	for bj := int64(0); bj < nbc; bj++ {
-		yo := bj * a.bd
-		for b := a.colptr[bj]; b < a.colptr[bj+1]; b++ {
-			xo := a.brow[b] * a.br
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				xi := x[xo+r]
-				if xi == 0 {
-					continue
-				}
-				for c := int64(0); c < a.bd; c++ {
-					y[yo+c] += a.vals[base+c] * xi
-				}
-			}
-		}
-	}
-}
-
 // blockColOf returns the block column owning block b.
 func (a *BCSC) blockColOf(b int64) int64 {
 	nbc := a.cols / a.bd
 	return int64(sort.Search(int(nbc), func(j int) bool { return a.colptr[j+1] > b }))
 }
 
-// MultiplyAddPart implements Matrix.
+// entry returns the row and column of kernel point k.
+func (a *BCSC) entry(k int64) (i, j int64) {
+	bsz := a.br * a.bd
+	b, w := k/bsz, k%bsz
+	return a.brow[b]*a.br + w/a.bd, a.blockColOf(b)*a.bd + w%a.bd
+}
+
+// MultiplyAddPart implements Matrix. The whole blocks of an interval run
+// the dense block loop; the partial blocks at its ends are decoded entry
+// by entry.
 func (a *BCSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.brow[b]*a.br + within/a.bd
-			j := a.blockColOf(b)*a.bd + within%a.bd
-			y[i] += a.vals[k] * x[j]
+	for _, iv := range kset.Intervals() {
+		b0, b1 := (iv.Lo+bsz-1)/bsz, (iv.Hi+1)/bsz // whole blocks [b0, b1)
+		for _, end := range partialBlocks(iv, b0, b1, bsz) {
+			for k := end.Lo; k <= end.Hi; k++ {
+				i, j := a.entry(k)
+				y[i] += a.vals[k] * x[j]
+			}
 		}
-	})
+		a.mulAddBlocks(y, x, b0, b1)
+	}
+}
+
+// mulAddBlocks adds the products of blocks [b0, b1) into y, block
+// column by block column, with the first block column found once.
+func (a *BCSC) mulAddBlocks(y, x []float64, b0, b1 int64) {
+	bsz, nbc := a.br*a.bd, a.cols/a.bd
+	for bj := a.blockColOf(b0); bj < nbc && a.colptr[bj] < b1; bj++ {
+		xs := x[bj*a.bd:][:a.bd]
+		for b, bEnd := max(a.colptr[bj], b0), min(a.colptr[bj+1], b1); b < bEnd; b++ {
+			ys, blk := y[a.brow[b]*a.br:][:a.br], a.vals[b*bsz:][:bsz]
+			for r := range ys {
+				var sum float64
+				for c, v := range blk[int64(r)*a.bd:][:a.bd] {
+					sum += v * xs[c]
+				}
+				ys[r] += sum
+			}
+		}
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *BCSC) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.brow[b]*a.br + within/a.bd
-			j := a.blockColOf(b)*a.bd + within%a.bd
-			y[j] += a.vals[k] * x[i]
+	for _, iv := range kset.Intervals() {
+		b0, b1 := (iv.Lo+bsz-1)/bsz, (iv.Hi+1)/bsz
+		for _, end := range partialBlocks(iv, b0, b1, bsz) {
+			for k := end.Lo; k <= end.Hi; k++ {
+				i, j := a.entry(k)
+				y[j] += a.vals[k] * x[i]
+			}
 		}
-	})
+		a.mulAddBlocksT(y, x, b0, b1)
+	}
+}
+
+// mulAddBlocksT is mulAddBlocks for the adjoint.
+func (a *BCSC) mulAddBlocksT(y, x []float64, b0, b1 int64) {
+	bsz, nbc := a.br*a.bd, a.cols/a.bd
+	for bj := a.blockColOf(b0); bj < nbc && a.colptr[bj] < b1; bj++ {
+		for b, bEnd := max(a.colptr[bj], b0), min(a.colptr[bj+1], b1); b < bEnd; b++ {
+			xo, yo := a.brow[b]*a.br, bj*a.bd
+			for r := int64(0); r < a.br; r++ {
+				base := b*bsz + r*a.bd
+				xr := x[xo+r]
+				for c := int64(0); c < a.bd; c++ {
+					y[yo+c] += a.vals[base+c] * xr
+				}
+			}
+		}
+	}
 }

@@ -147,80 +147,99 @@ func (a *BCSR) Format() string { return "BCSR" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSR) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix.
-func (a *BCSR) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	nbr := a.rows / a.br
-	for bi := int64(0); bi < nbr; bi++ {
-		for b := a.rowptr[bi]; b < a.rowptr[bi+1]; b++ {
-			xo := a.bcol[b] * a.bd
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				var sum float64
-				for c := int64(0); c < a.bd; c++ {
-					sum += a.vals[base+c] * x[xo+c]
-				}
-				y[bi*a.br+r] += sum
-			}
-		}
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *BCSR) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	nbr := a.rows / a.br
-	for bi := int64(0); bi < nbr; bi++ {
-		for b := a.rowptr[bi]; b < a.rowptr[bi+1]; b++ {
-			yo := a.bcol[b] * a.bd
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				xi := x[bi*a.br+r]
-				if xi == 0 {
-					continue
-				}
-				for c := int64(0); c < a.bd; c++ {
-					y[yo+c] += a.vals[base+c] * xi
-				}
-			}
-		}
-	}
-}
-
 // blockRowOf returns the block row owning block b.
 func (a *BCSR) blockRowOf(b int64) int64 {
 	nbr := a.rows / a.br
 	return int64(sort.Search(int(nbr), func(i int) bool { return a.rowptr[i+1] > b }))
 }
 
-// MultiplyAddPart implements Matrix.
+// partialBlocks returns the kernel points of iv before and after its
+// whole blocks [b0, b1) of bsz slots each: the partial blocks at its ends
+// (possibly empty intervals).
+func partialBlocks(iv index.Interval, b0, b1, bsz int64) [2]index.Interval {
+	return [2]index.Interval{
+		{Lo: iv.Lo, Hi: min(iv.Hi, b0*bsz-1)},
+		{Lo: max(b0, b1) * bsz, Hi: iv.Hi},
+	}
+}
+
+// entry returns the row and column of kernel point k.
+func (a *BCSR) entry(k int64) (i, j int64) {
+	bsz := a.br * a.bd
+	b, w := k/bsz, k%bsz
+	return a.blockRowOf(b)*a.br + w/a.bd, a.bcol[b]*a.bd + w%a.bd
+}
+
+// MultiplyAddPart implements Matrix. The whole blocks of an interval run
+// the dense block loop; the partial blocks at its ends are decoded entry
+// by entry.
 func (a *BCSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.blockRowOf(b)*a.br + within/a.bd
-			j := a.bcol[b]*a.bd + within%a.bd
-			y[i] += a.vals[k] * x[j]
+	for _, iv := range kset.Intervals() {
+		b0, b1 := (iv.Lo+bsz-1)/bsz, (iv.Hi+1)/bsz // whole blocks [b0, b1)
+		for _, end := range partialBlocks(iv, b0, b1, bsz) {
+			for k := end.Lo; k <= end.Hi; k++ {
+				i, j := a.entry(k)
+				y[i] += a.vals[k] * x[j]
+			}
 		}
-	})
+		a.mulAddBlocks(y, x, b0, b1)
+	}
+}
+
+// mulAddBlocks adds the products of blocks [b0, b1) into y, block row
+// by block row, with the first block row found once. Each row of a block
+// row accumulates across its blocks and updates y once.
+func (a *BCSR) mulAddBlocks(y, x []float64, b0, b1 int64) {
+	bsz, nbr := a.br*a.bd, a.rows/a.br
+	for bi := a.blockRowOf(b0); bi < nbr && a.rowptr[bi] < b1; bi++ {
+		bLo, bHi := max(a.rowptr[bi], b0), min(a.rowptr[bi+1], b1)
+		if bLo >= bHi {
+			continue // write no row the blocks do not reach
+		}
+		for r := int64(0); r < a.br; r++ {
+			var sum float64
+			for b := bLo; b < bHi; b++ {
+				base, xo := b*bsz+r*a.bd, a.bcol[b]*a.bd
+				for c := int64(0); c < a.bd; c++ {
+					sum += a.vals[base+c] * x[xo+c]
+				}
+			}
+			y[bi*a.br+r] += sum
+		}
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *BCSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.blockRowOf(b)*a.br + within/a.bd
-			j := a.bcol[b]*a.bd + within%a.bd
-			y[j] += a.vals[k] * x[i]
+	for _, iv := range kset.Intervals() {
+		b0, b1 := (iv.Lo+bsz-1)/bsz, (iv.Hi+1)/bsz
+		for _, end := range partialBlocks(iv, b0, b1, bsz) {
+			for k := end.Lo; k <= end.Hi; k++ {
+				i, j := a.entry(k)
+				y[j] += a.vals[k] * x[i]
+			}
 		}
-	})
+		a.mulAddBlocksT(y, x, b0, b1)
+	}
+}
+
+// mulAddBlocksT is mulAddBlocks for the adjoint.
+func (a *BCSR) mulAddBlocksT(y, x []float64, b0, b1 int64) {
+	bsz, nbr := a.br*a.bd, a.rows/a.br
+	for bi := a.blockRowOf(b0); bi < nbr && a.rowptr[bi] < b1; bi++ {
+		for b, bEnd := max(a.rowptr[bi], b0), min(a.rowptr[bi+1], b1); b < bEnd; b++ {
+			xo, yo := bi*a.br, a.bcol[b]*a.bd
+			for r := int64(0); r < a.br; r++ {
+				base := b*bsz + r*a.bd
+				xr := x[xo+r]
+				for c := int64(0); c < a.bd; c++ {
+					y[yo+c] += a.vals[base+c] * xr
+				}
+			}
+		}
+	}
 }

@@ -64,28 +64,14 @@ func (a *COO) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *COO) Format() string { return "COO" }
 
-// MultiplyAdd implements Matrix.
-func (a *COO) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for k, v := range a.vals {
-		y[a.rowIdx[k]] += v * x[a.colIdx[k]]
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *COO) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for k, v := range a.vals {
-		y[a.colIdx[k]] += v * x[a.rowIdx[k]]
-	}
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *COO) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * x[a.colIdx[k]]
+		vals := a.vals[iv.Lo : iv.Hi+1]
+		rows, cols := a.rowIdx[iv.Lo:][:len(vals)], a.colIdx[iv.Lo:][:len(vals)]
+		for t, v := range vals {
+			y[rows[t]] += v * x[cols[t]]
 		}
 	})
 }
@@ -94,8 +80,10 @@ func (a *COO) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 func (a *COO) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.colIdx[k]] += a.vals[k] * x[a.rowIdx[k]]
+		vals := a.vals[iv.Lo : iv.Hi+1]
+		rows, cols := a.rowIdx[iv.Lo:][:len(vals)], a.colIdx[iv.Lo:][:len(vals)]
+		for t, v := range vals {
+			y[cols[t]] += v * x[rows[t]]
 		}
 	})
 }

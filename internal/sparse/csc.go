@@ -88,32 +88,6 @@ func (a *CSC) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *CSC) Format() string { return "CSC" }
 
-// MultiplyAdd implements Matrix.
-func (a *CSC) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := a.colptr[j]; k < a.colptr[j+1]; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * xj
-		}
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *CSC) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		var sum float64
-		for k := a.colptr[j]; k < a.colptr[j+1]; k++ {
-			sum += a.vals[k] * x[a.rowIdx[k]]
-		}
-		y[j] += sum
-	}
-}
-
 // colOf returns the column owning kernel position k.
 func (a *CSC) colOf(k int64) int64 {
 	return int64(sort.Search(int(a.cols), func(j int) bool { return a.colptr[j+1] > k }))

@@ -97,32 +97,6 @@ func (a *CSR) ColIdx() []int64 { return a.colIdx }
 // Vals returns the value array (not to be modified).
 func (a *CSR) Vals() []float64 { return a.vals }
 
-// MultiplyAdd implements Matrix.
-func (a *CSR) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		var sum float64
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			sum += a.vals[k] * x[a.colIdx[k]]
-		}
-		y[i] += sum
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *CSR) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			y[a.colIdx[k]] += a.vals[k] * xi
-		}
-	}
-}
-
 // rowOf returns the row owning kernel position k.
 func (a *CSR) rowOf(k int64) int64 {
 	// First row whose segment ends beyond k.

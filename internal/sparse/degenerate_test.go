@@ -218,19 +218,19 @@ func TestSelectFormatSane(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, sh := range []struct{ rows, cols int64 }{{1, 1}, {16, 16}, {7, 31}, {40, 3}} {
 		a := randomCSRMatrix(r, sh.rows, sh.cols, 0.2)
-		f := SelectFormat(ProfileCSR(a))
+		f, _ := selectFormatCost(ProfileCSR(a))
 		found := false
 		for _, g := range Formats {
 			found = found || f == g
 		}
 		if !found {
-			t.Errorf("SelectFormat returned unknown format %q", f)
+			t.Errorf("selectFormatCost returned unknown format %q", f)
 		}
 	}
 
 	tri := Laplacian2D(64, 1) // pure tridiagonal, all three diagonals dense
-	if f := SelectFormat(ProfileCSR(tri)); f != "DIA" {
-		t.Errorf("tridiagonal SelectFormat = %s, want DIA", f)
+	if f, _ := selectFormatCost(ProfileCSR(tri)); f != "DIA" {
+		t.Errorf("tridiagonal selectFormatCost = %s, want DIA", f)
 	}
 }
 

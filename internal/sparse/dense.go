@@ -63,40 +63,21 @@ func (a *Dense) At(i, j int64) float64 { return a.vals[i*a.cols+j] }
 // Set stores v at (i, j).
 func (a *Dense) Set(i, j int64, v float64) { a.vals[i*a.cols+j] = v }
 
-// MultiplyAdd implements Matrix.
-func (a *Dense) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		row := a.vals[i*a.cols : (i+1)*a.cols]
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] += sum
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *Dense) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		row := a.vals[i*a.cols : (i+1)*a.cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += v * xi
-		}
-	}
-}
-
-// MultiplyAddPart implements Matrix.
+// MultiplyAddPart implements Matrix. Each interval is split at row
+// boundaries, decoding the row once per interval.
 func (a *Dense) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.cols] += a.vals[k] * x[k%a.cols]
+		for i, k := iv.Lo/a.cols, iv.Lo; k <= iv.Hi; i++ {
+			end := min((i+1)*a.cols, iv.Hi+1)
+			row := a.vals[k:end]
+			xrow := x[k-i*a.cols:][:len(row)]
+			var sum float64
+			for j, v := range row {
+				sum += v * xrow[j]
+			}
+			y[i] += sum
+			k = end
 		}
 	})
 }
@@ -105,8 +86,14 @@ func (a *Dense) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 func (a *Dense) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k%a.cols] += a.vals[k] * x[k/a.cols]
+		for i, k := iv.Lo/a.cols, iv.Lo; k <= iv.Hi; i++ {
+			end := min((i+1)*a.cols, iv.Hi+1)
+			row := a.vals[k:end]
+			yrow, xi := y[k-i*a.cols:][:len(row)], x[i]
+			for j, v := range row {
+				yrow[j] += v * xi
+			}
+			k = end
 		}
 	})
 }

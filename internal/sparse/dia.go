@@ -90,52 +90,34 @@ func (a *DIA) Format() string { return "DIA" }
 // NumDiagonals returns the number of stored diagonals.
 func (a *DIA) NumDiagonals() int { return len(a.offsets) }
 
-// MultiplyAdd implements Matrix.
-func (a *DIA) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for b, off := range a.offsets {
-		base := int64(b) * a.cols
-		// Row i = j - off must lie in [0, rows): j in [off, rows+off).
-		jLo, jHi := off, a.rows+off-1
-		if jLo < 0 {
-			jLo = 0
-		}
-		if jHi > a.cols-1 {
-			jHi = a.cols - 1
-		}
-		for j := jLo; j <= jHi; j++ {
-			y[j-off] += a.vals[base+j] * x[j]
-		}
+// diagCols clips kernel interval iv to diagonal b of a DIA-shaped kernel
+// space (one run of cols slots per diagonal, offset off = col − row) and
+// to the columns whose row j − off lies in [0, rows): the diagonal's
+// stored entries in iv are those at columns [jLo, jHi], and padding is
+// skipped. An empty clip has jLo > jHi.
+func diagCols(iv index.Interval, b, off, rows, cols int64) (jLo, jHi int64) {
+	base := b * cols
+	return max(iv.Lo-base, off, 0), min(iv.Hi-base, rows+off-1, cols-1)
+}
+
+// mulAddRun adds v[t]·x[t] into y[t] for every t in v. Cutting x and y
+// to len(v) lets the compiler drop the bounds checks from the loop.
+func mulAddRun(y, v, x []float64) {
+	x, y = x[:len(v)], y[:len(v)]
+	for t, vt := range v {
+		y[t] += vt * x[t]
 	}
 }
 
-// MultiplyAddT implements Matrix.
-func (a *DIA) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for b, off := range a.offsets {
-		base := int64(b) * a.cols
-		jLo, jHi := off, a.rows+off-1
-		if jLo < 0 {
-			jLo = 0
-		}
-		if jHi > a.cols-1 {
-			jHi = a.cols - 1
-		}
-		for j := jLo; j <= jHi; j++ {
-			y[j] += a.vals[base+j] * x[j-off]
-		}
-	}
-}
-
-// MultiplyAddPart implements Matrix.
+// MultiplyAddPart implements Matrix. Each interval is split at diagonal
+// boundaries and each diagonal's run is one tight loop.
 func (a *DIA) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.cols, k%a.cols
-			i := j - a.offsets[b]
-			if i >= 0 && i < a.rows {
-				y[i] += a.vals[k] * x[j]
+		for b, bEnd := iv.Lo/a.cols, iv.Hi/a.cols; b <= bEnd; b++ {
+			off, base := a.offsets[b], b*a.cols
+			if jLo, jHi := diagCols(iv, b, off, a.rows, a.cols); jLo <= jHi {
+				mulAddRun(y[jLo-off:], a.vals[base+jLo:base+jHi+1], x[jLo:])
 			}
 		}
 	})
@@ -145,11 +127,10 @@ func (a *DIA) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 func (a *DIA) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.cols, k%a.cols
-			i := j - a.offsets[b]
-			if i >= 0 && i < a.rows {
-				y[j] += a.vals[k] * x[i]
+		for b, bEnd := iv.Lo/a.cols, iv.Hi/a.cols; b <= bEnd; b++ {
+			off, base := a.offsets[b], b*a.cols
+			if jLo, jHi := diagCols(iv, b, off, a.rows, a.cols); jLo <= jHi {
+				mulAddRun(y[jLo:], a.vals[base+jLo:base+jHi+1], x[jLo-off:])
 			}
 		}
 	})

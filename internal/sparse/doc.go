@@ -10,10 +10,15 @@
 // uniformly, including to user-defined formats implemented outside this
 // package.
 //
-// Computational kernels are expressed as in-place multiply-adds
-// (y ← Ax + y), the primitive into which Section 4.1 decomposes all
-// matrix-vector products on multi-operator systems, with restricted
-// variants that process only the kernel points of a partition piece.
+// Each format has one computational kernel per direction: the in-place
+// multiply-add (y ← Ax + y, or y ← Aᵀx + y), the primitive into which
+// Section 4.1 decomposes all matrix-vector products on multi-operator
+// systems, restricted to a set of kernel points. Partitioning K is how
+// work is split, so the whole product (SpMV, SpMVT) is the restriction to
+// all of K, and a format never keeps a second, whole-matrix kernel.
+// Formats with implicit coordinates are interval-native: they decode a
+// row, column, diagonal or block once per interval and run a tight loop
+// within it.
 //
 // The package also provides the stencil matrix generators used throughout
 // the paper's evaluation: 3-point 1D, 5-point 2D, 7-point 3D, and 27-point

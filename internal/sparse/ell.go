@@ -86,40 +86,15 @@ func (a *ELL) Format() string { return "ELL" }
 // Width returns the fixed number of slots per row.
 func (a *ELL) Width() int64 { return a.width }
 
-// MultiplyAdd implements Matrix.
-func (a *ELL) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		base := i * a.width
-		var sum float64
-		for s := int64(0); s < a.width; s++ {
-			sum += a.vals[base+s] * x[a.colIdx[base+s]]
-		}
-		y[i] += sum
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *ELL) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		base := i * a.width
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for s := int64(0); s < a.width; s++ {
-			y[a.colIdx[base+s]] += a.vals[base+s] * xi
-		}
-	}
-}
-
-// MultiplyAddPart implements Matrix.
+// MultiplyAddPart implements Matrix. Each interval is split at row
+// boundaries (every width slots), decoding the row once per interval.
 func (a *ELL) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.width] += a.vals[k] * x[a.colIdx[k]]
+		for i, k := iv.Lo/a.width, iv.Lo; k <= iv.Hi; i++ {
+			end := min((i+1)*a.width, iv.Hi+1)
+			y[i] += gatherDot(a.vals[k:end], a.colIdx[k:], x)
+			k = end
 		}
 	})
 }
@@ -128,10 +103,31 @@ func (a *ELL) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 func (a *ELL) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.colIdx[k]] += a.vals[k] * x[k/a.width]
+		for i, k := iv.Lo/a.width, iv.Lo; k <= iv.Hi; i++ {
+			end := min((i+1)*a.width, iv.Hi+1)
+			scatterAxpy(y, a.colIdx[k:], a.vals[k:end], x[i])
+			k = end
 		}
 	})
+}
+
+// gatherDot returns the sum of v[t]·x[idx[t]] over t in v. Cutting idx
+// to len(v) lets the compiler drop all but the gather's bounds check.
+func gatherDot(v []float64, idx []int64, x []float64) float64 {
+	idx = idx[:len(v)]
+	var sum float64
+	for t, vt := range v {
+		sum += vt * x[idx[t]]
+	}
+	return sum
+}
+
+// scatterAxpy adds v[t]·s into y[idx[t]] for every t in v.
+func scatterAxpy(y []float64, idx []int64, v []float64, s float64) {
+	idx = idx[:len(v)]
+	for t, vt := range v {
+		y[idx[t]] += vt * s
+	}
 }
 
 // ELLPrime is the column-major dual of ELL (the ELL′ row of Figure 3):
@@ -208,40 +204,15 @@ func (a *ELLPrime) NNZ() int64 { return a.cols * a.width }
 // Format implements Matrix.
 func (a *ELLPrime) Format() string { return "ELL'" }
 
-// MultiplyAdd implements Matrix.
-func (a *ELLPrime) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		base := j * a.width
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for s := int64(0); s < a.width; s++ {
-			y[a.rowIdx[base+s]] += a.vals[base+s] * xj
-		}
-	}
-}
-
-// MultiplyAddT implements Matrix.
-func (a *ELLPrime) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		base := j * a.width
-		var sum float64
-		for s := int64(0); s < a.width; s++ {
-			sum += a.vals[base+s] * x[a.rowIdx[base+s]]
-		}
-		y[j] += sum
-	}
-}
-
-// MultiplyAddPart implements Matrix.
+// MultiplyAddPart implements Matrix. Each interval is split at column
+// boundaries (every width slots), decoding the column once per interval.
 func (a *ELLPrime) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * x[k/a.width]
+		for j, k := iv.Lo/a.width, iv.Lo; k <= iv.Hi; j++ {
+			end := min((j+1)*a.width, iv.Hi+1)
+			scatterAxpy(y, a.rowIdx[k:], a.vals[k:end], x[j])
+			k = end
 		}
 	})
 }
@@ -250,8 +221,10 @@ func (a *ELLPrime) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 func (a *ELLPrime) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.width] += a.vals[k] * x[a.rowIdx[k]]
+		for j, k := iv.Lo/a.width, iv.Lo; k <= iv.Hi; j++ {
+			end := min((j+1)*a.width, iv.Hi+1)
+			y[j] += gatherDot(a.vals[k:end], a.rowIdx[k:], x)
+			k = end
 		}
 	})
 }

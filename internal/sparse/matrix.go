@@ -12,8 +12,10 @@ import (
 // column relation (K ↔ D) that place each stored number in the grid.
 //
 // Vectors are dense []float64 slices indexed by the linearized domain and
-// range spaces. All kernels are in-place multiply-adds; use SpMV for the
-// assign-form product.
+// range spaces. A format writes one kernel per direction, each an
+// in-place multiply-add restricted to a set of kernel points: partitioning
+// K is how work is split, so the whole product is just the restriction to
+// all of K. Use SpMV and SpMVT for the assign-form product.
 type Matrix interface {
 	// Domain returns the domain space D (columns, solution vector).
 	Domain() index.Space
@@ -32,14 +34,11 @@ type Matrix interface {
 	NNZ() int64
 	// Format returns the storage format name ("CSR", "COO", ...).
 	Format() string
-	// MultiplyAdd computes y += A·x.
-	MultiplyAdd(y, x []float64)
-	// MultiplyAddT computes y += Aᵀ·x.
-	MultiplyAddT(y, x []float64)
 	// MultiplyAddPart computes the contributions of kernel points in kset
 	// only: y[row(k)] += A_k · x[col(k)] for k ∈ kset.
 	MultiplyAddPart(y, x []float64, kset index.IntervalSet)
-	// MultiplyAddTPart is the adjoint restricted form.
+	// MultiplyAddTPart is the adjoint restricted form:
+	// y[col(k)] += A_k · x[row(k)] for k ∈ kset.
 	MultiplyAddTPart(y, x []float64, kset index.IntervalSet)
 }
 
@@ -48,7 +47,7 @@ func SpMV(a Matrix, y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	a.MultiplyAdd(y, x)
+	a.MultiplyAddPart(y, x, a.Kernel().Set)
 }
 
 // SpMVT computes y = Aᵀ·x, overwriting y.
@@ -56,7 +55,7 @@ func SpMVT(a Matrix, y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	a.MultiplyAddT(y, x)
+	a.MultiplyAddTPart(y, x, a.Kernel().Set)
 }
 
 // Dims returns (rows, cols) of the matrix.

@@ -48,6 +48,76 @@ func densesEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
+// denseProducts returns the reference products y = A·x and yt = Aᵀ·xt of
+// a dense row-major rows × cols array.
+func denseProducts(dense []float64, rows, cols int64, x, xt []float64) (y, yt []float64) {
+	y = make([]float64, rows)
+	yt = make([]float64, cols)
+	for i := int64(0); i < rows; i++ {
+		for j := int64(0); j < cols; j++ {
+			y[i] += dense[i*cols+j] * x[j]
+			yt[j] += dense[i*cols+j] * xt[i]
+		}
+	}
+	return y, yt
+}
+
+func randomVec(r *rand.Rand, n int64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.NormFloat64()
+	}
+	return v
+}
+
+// randomKernelPieces splits [0, n) into runs — single points, short runs
+// that start and end anywhere (mid-row, mid-diagonal, mid-block, on
+// padding slots) and long runs across many such boundaries — and deals
+// the runs at random to pieces, so a piece is a set of several disjoint
+// intervals.
+func randomKernelPieces(r *rand.Rand, n int64, pieces int) []index.IntervalSet {
+	out := make([]index.IntervalSet, pieces)
+	for lo := int64(0); lo < n; {
+		run := int64(1)
+		switch r.Intn(3) {
+		case 1:
+			run = r.Int63n(4) + 1
+		case 2:
+			run = r.Int63n(n) + 1
+		}
+		hi := min(lo+run, n) - 1
+		out[r.Intn(pieces)].AddInterval(index.Interval{Lo: lo, Hi: hi})
+		lo = hi + 1
+	}
+	return out
+}
+
+// writesConfined runs kernel over kset on a vector of n negative zeros
+// and reports whether every entry outside the span of rel's image of each
+// interval of kset kept its sign bit. A kernel that adds even a zero to
+// an entry beyond its points' span would race with that entry's owner
+// when pieces run concurrently. (Within the span CSR adds the zero sums
+// of empty rows, so only the span is checked.)
+func writesConfined(n int64, rel dpart.Relation, kset index.IntervalSet, kernel func(y []float64)) bool {
+	var allowed index.IntervalSet
+	kset.EachInterval(func(iv index.Interval) {
+		if img := rel.Image(index.NewIntervalSet(iv)); !img.Empty() {
+			allowed.AddInterval(img.Bounds())
+		}
+	})
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = math.Copysign(0, -1)
+	}
+	kernel(y)
+	for i, v := range y {
+		if !allowed.Contains(int64(i)) && !(v == 0 && math.Signbit(v)) {
+			return false
+		}
+	}
+	return true
+}
+
 // buildAll constructs the same matrix in every storage format.
 func buildAll(rows, cols int64, coords []Coord) []Matrix {
 	csr := CSRFromCoords(rows, cols, coords)
@@ -83,30 +153,22 @@ func TestQuickFormatEquivalence(t *testing.T) {
 		for i := range xt {
 			xt[i] = r.NormFloat64()
 		}
-		// Reference products.
-		wy := make([]float64, rows)
-		wyt := make([]float64, cols)
-		for i := int64(0); i < rows; i++ {
-			for j := int64(0); j < cols; j++ {
-				wy[i] += want[i*cols+j] * x[j]
-				wyt[j] += want[i*cols+j] * xt[i]
-			}
-		}
+		wy, wyt := denseProducts(want, rows, cols, x, xt)
 		for _, m := range buildAll(rows, cols, coords) {
 			if !densesEqual(ToDense(m), want, 1e-12) {
 				t.Logf("%s dense mismatch (seed %d)", m.Format(), seed)
 				return false
 			}
 			y := make([]float64, rows)
-			m.MultiplyAdd(y, x)
+			SpMV(m, y, x)
 			if !densesEqual(y, wy, 1e-12) {
-				t.Logf("%s MultiplyAdd mismatch (seed %d)", m.Format(), seed)
+				t.Logf("%s SpMV mismatch (seed %d)", m.Format(), seed)
 				return false
 			}
 			yt := make([]float64, cols)
-			m.MultiplyAddT(yt, xt)
+			SpMVT(m, yt, xt)
 			if !densesEqual(yt, wyt, 1e-12) {
-				t.Logf("%s MultiplyAddT mismatch (seed %d)", m.Format(), seed)
+				t.Logf("%s SpMVT mismatch (seed %d)", m.Format(), seed)
 				return false
 			}
 		}
@@ -119,60 +181,88 @@ func TestQuickFormatEquivalence(t *testing.T) {
 
 func TestQuickPartitionedMultiplyAdd(t *testing.T) {
 	// Property (Section 3.1): splitting the kernel space into any
-	// partition and summing the per-piece restricted multiply-adds equals
-	// the whole product, for every format.
+	// partition and summing the per-piece restricted multiply-adds gives
+	// the dense reference product, for every format and both directions,
+	// and each piece writes only within the rows (columns, for the
+	// adjoint) its relations map its intervals to. Shapes include odd ones, and pieces are random
+	// multi-interval sets cutting rows, diagonals, blocks and padding.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		rows := 2 * (r.Int63n(5) + 1)
-		cols := 2 * (r.Int63n(5) + 1)
+		rows, cols := r.Int63n(9)+1, r.Int63n(9)+1
 		coords := randomCoords(r, rows, cols)
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = r.NormFloat64()
+		x, xt := randomVec(r, cols), randomVec(r, rows)
+		wy, wyt := denseProducts(denseFromCoords(rows, cols, coords), rows, cols, x, xt)
+		csr := CSRFromCoords(rows, cols, coords)
+		ms := append(buildAll(rows, cols, coords), AutoSelect(csr, 3))
+		if rows%3 == 0 && cols%2 == 0 {
+			ms = append(ms, BCSRFromCSR(csr, 3, 2), BCSCFromCSR(csr, 3, 2))
 		}
-		for _, m := range buildAll(rows, cols, coords) {
-			if m.Kernel().Size() == 0 {
-				continue
-			}
-			want := make([]float64, rows)
-			m.MultiplyAdd(want, x)
-			pieces := r.Intn(4) + 1
-			kp := index.EqualPartition(m.Kernel(), pieces)
+		for _, m := range ms {
 			got := make([]float64, rows)
-			for c := 0; c < pieces; c++ {
-				m.MultiplyAddPart(got, x, kp.Piece(c))
-			}
-			if !densesEqual(got, want, 1e-12) {
-				t.Logf("%s partitioned MultiplyAdd mismatch (seed %d, %d pieces)",
-					m.Format(), seed, pieces)
-				return false
-			}
-			// Adjoint form.
-			xt := make([]float64, rows)
-			for i := range xt {
-				xt[i] = r.NormFloat64()
-			}
-			wantT := make([]float64, cols)
-			m.MultiplyAddT(wantT, xt)
 			gotT := make([]float64, cols)
-			for c := 0; c < pieces; c++ {
-				m.MultiplyAddTPart(gotT, xt, kp.Piece(c))
+			for _, kset := range randomKernelPieces(r, m.Kernel().Size(), r.Intn(4)+1) {
+				m.MultiplyAddPart(got, x, kset)
+				m.MultiplyAddTPart(gotT, xt, kset)
+				if !writesConfined(rows, m.RowRelation(), kset,
+					func(y []float64) { m.MultiplyAddPart(y, x, kset) }) ||
+					!writesConfined(cols, m.ColRelation(), kset,
+						func(y []float64) { m.MultiplyAddTPart(y, xt, kset) }) {
+					t.Logf("%s piece %v writes outside its relation image (seed %d)",
+						m.Format(), kset, seed)
+					return false
+				}
 			}
-			if !densesEqual(gotT, wantT, 1e-12) {
-				t.Logf("%s partitioned MultiplyAddT mismatch (seed %d)", m.Format(), seed)
+			if !densesEqual(got, wy, 1e-12) || !densesEqual(gotT, wyt, 1e-12) {
+				t.Logf("%s partitioned multiply-add mismatch (seed %d, %dx%d)",
+					m.Format(), seed, rows, cols)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpMVCSRBitwiseRowSums pins SpMV on CSR to the plain row-sum loop,
+// bit for bit: the exact iteration count of the bandwidth-bound benchmark
+// solve and serve.HostResidual both rest on it.
+func TestSpMVCSRBitwiseRowSums(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, a := range []*CSR{
+		Laplacian2D(33, 17),
+		randomCSRMatrix(r, 57, 41, 0.1),
+		CSRFromCoords(6, 4, []Coord{{2, 1, 3.5}, {2, 3, -1}, {4, 0, 2}}), // empty leading and trailing rows
+		CSRFromCoords(3, 3, nil),
+	} {
+		rows, cols := Dims(a)
+		x := randomVec(r, cols)
+		rp, ci, v := a.RowPtr(), a.ColIdx(), a.Vals()
+		want := make([]float64, rows)
+		for i := range want {
+			var sum float64
+			for k := rp[i]; k < rp[i+1]; k++ {
+				sum += v[k] * x[ci[k]]
+			}
+			want[i] += sum
+		}
+		got := make([]float64, rows)
+		for i := range got {
+			got[i] = math.NaN() // SpMV overwrites
+		}
+		SpMV(a, got, x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%dx%d: SpMV y[%d] = %v, row-sum loop %v", rows, cols, i, got[i], want[i])
+			}
+		}
 	}
 }
 
 func TestQuickRelationsMatchEntries(t *testing.T) {
 	// Property: for every format, the row/col relations agree with where
-	// MultiplyAdd actually reads and writes — Image of the full kernel
+	// the kernels actually read and write — Image of the full kernel
 	// covers exactly the rows/cols with stored entries (padding formats
 	// may cover more rows/cols, but never fewer).
 	f := func(seed int64) bool {
@@ -225,7 +315,7 @@ func TestQuickCoPartitioningSoundness(t *testing.T) {
 		}
 		for _, m := range buildAll(rows, cols, coords) {
 			want := make([]float64, rows)
-			m.MultiplyAdd(want, x)
+			SpMV(m, want, x)
 			pieces := r.Intn(3) + 1
 			rp := index.EqualPartition(m.Range(), pieces)
 			kp := dpart.RowRToK(m.RowRelation(), rp)
@@ -259,19 +349,36 @@ func TestQuickCoPartitioningSoundness(t *testing.T) {
 }
 
 func TestShapePanics(t *testing.T) {
-	a := Laplacian1D(4)
-	for _, fn := range []func(){
-		func() { a.MultiplyAdd(make([]float64, 3), make([]float64, 4)) },
-		func() { a.MultiplyAddT(make([]float64, 4), make([]float64, 5)) },
-		func() { SpMV(a, make([]float64, 5), make([]float64, 4)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected shape panic")
-				}
+	// Every kernel of every format checks shapes on entry. The vectors
+	// are one entry too long, which no out-of-range index would catch.
+	coords := randomCoords(rand.New(rand.NewSource(1)), 4, 4)
+	ms := append(buildAll(4, 4, coords),
+		AutoSelect(CSRFromCoords(4, 4, coords), 2),
+		ConstBand(4, 4, []int64{-1, 0}, []float64{1, 2}),
+		NewBand(4, 4, []int64{0}, nil),
+		NewStencilOperator(Stencil1D3, index.NewGrid(4)))
+	for _, m := range ms {
+		rows, cols := Dims(m)
+		full := m.Kernel().Set
+		vec := func(n int64) []float64 { return make([]float64, n) }
+		for _, c := range []struct {
+			name string
+			fn   func()
+		}{
+			{"MultiplyAddPart y", func() { m.MultiplyAddPart(vec(rows+1), vec(cols), full) }},
+			{"MultiplyAddPart x", func() { m.MultiplyAddPart(vec(rows), vec(cols+1), full) }},
+			{"MultiplyAddTPart y", func() { m.MultiplyAddTPart(vec(cols+1), vec(rows), full) }},
+			{"MultiplyAddTPart x", func() { m.MultiplyAddTPart(vec(cols), vec(rows+1), full) }},
+			{"SpMV y", func() { SpMV(m, vec(rows+1), vec(cols)) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: expected shape panic", m.Format(), c.name)
+					}
+				}()
+				c.fn()
 			}()
-			fn()
-		}()
+		}
 	}
 }

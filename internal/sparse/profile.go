@@ -249,14 +249,9 @@ func formatFootprint(p Profile, format string) float64 {
 // explicit choices.
 var autoCandidates = []string{"CSR", "COO", "ELL", "DIA", "Dense"}
 
-// SelectFormat returns the format the calibrated model predicts fastest
-// for the profiled structure: argmin of formatCost across the candidate
-// set.
-func SelectFormat(p Profile) string {
-	f, _ := selectFormatCost(p)
-	return f
-}
-
+// selectFormatCost returns the format the calibrated model predicts
+// fastest for the profiled structure, argmin of formatCost across the
+// candidate set, with its predicted cost.
 func selectFormatCost(p Profile) (string, float64) {
 	best := "CSR"
 	bestCost := formatCost(p, best)

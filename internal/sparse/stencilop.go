@@ -124,29 +124,17 @@ func (a *StencilOperator) coeff(b, j int64) float64 {
 	return -1
 }
 
-// MultiplyAdd implements Matrix.
-func (a *StencilOperator) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.MultiplyAddPart(y, x, a.Kernel().Set)
-}
-
-// MultiplyAddT implements Matrix.
-func (a *StencilOperator) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.MultiplyAddTPart(y, x, a.Kernel().Set)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *StencilOperator) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
+	CheckShapes(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.n, k%a.n
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.n {
-				continue
-			}
-			if v := a.coeff(b, j); v != 0 {
-				y[i] += v * x[j]
+		for b, bEnd := iv.Lo/a.n, iv.Hi/a.n; b <= bEnd; b++ {
+			off := a.offsets[b]
+			jLo, jHi := diagCols(iv, b, off, a.n, a.n)
+			for j := jLo; j <= jHi; j++ {
+				if v := a.coeff(b, j); v != 0 {
+					y[j-off] += v * x[j]
+				}
 			}
 		}
 	})
@@ -155,15 +143,15 @@ func (a *StencilOperator) MultiplyAddPart(y, x []float64, kset index.IntervalSet
 // MultiplyAddTPart implements Matrix: for each kernel slot in kset
 // holding entry (i, j), it adds A[i,j]·x[i] into y[j].
 func (a *StencilOperator) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
+	checkShapesT(a, y, x)
 	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.n, k%a.n
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.n {
-				continue
-			}
-			if v := a.coeff(b, j); v != 0 {
-				y[j] += v * x[i]
+		for b, bEnd := iv.Lo/a.n, iv.Hi/a.n; b <= bEnd; b++ {
+			off := a.offsets[b]
+			jLo, jHi := diagCols(iv, b, off, a.n, a.n)
+			for j := jLo; j <= jHi; j++ {
+				if v := a.coeff(b, j); v != 0 {
+					y[j] += v * x[j-off]
+				}
 			}
 		}
 	})

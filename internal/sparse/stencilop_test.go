@@ -41,9 +41,9 @@ func TestStencilOperatorAdjoint(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		want := make([]float64, n)
-		c.ref.MultiplyAddT(want, x)
+		SpMVT(c.ref, want, x)
 		got := make([]float64, n)
-		c.op.MultiplyAddT(got, x)
+		SpMVT(c.op, got, x)
 		if !densesEqual(got, want, 1e-12) {
 			t.Errorf("%s adjoint mismatch", c.op.Format())
 		}
@@ -52,29 +52,28 @@ func TestStencilOperatorAdjoint(t *testing.T) {
 
 func TestStencilOperatorPartitioned(t *testing.T) {
 	// Restricted multiply-adds over any complete disjoint kernel
-	// partition must sum to the full product, forward and adjoint.
+	// partition — here random multi-interval pieces cutting diagonals and
+	// padding anywhere — must sum to the full product, forward and
+	// adjoint.
 	r := rand.New(rand.NewSource(5))
 	for _, c := range stencilCases() {
 		n := c.op.n
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
+		x := randomVec(r, n)
 		want := make([]float64, n)
-		c.op.MultiplyAdd(want, x)
-		kp := index.EqualPartition(c.op.Kernel(), 5)
+		SpMV(c.ref, want, x)
+		pieces := randomKernelPieces(r, c.op.Kernel().Size(), 5)
 		got := make([]float64, n)
-		for p := 0; p < 5; p++ {
-			c.op.MultiplyAddPart(got, x, kp.Piece(p))
+		for _, kset := range pieces {
+			c.op.MultiplyAddPart(got, x, kset)
 		}
 		if !densesEqual(got, want, 1e-12) {
 			t.Errorf("%s partitioned forward mismatch", c.op.Format())
 		}
 		wantT := make([]float64, n)
-		c.op.MultiplyAddT(wantT, x)
+		SpMVT(c.ref, wantT, x)
 		gotT := make([]float64, n)
-		for p := 0; p < 5; p++ {
-			c.op.MultiplyAddTPart(gotT, x, kp.Piece(p))
+		for _, kset := range pieces {
+			c.op.MultiplyAddTPart(gotT, x, kset)
 		}
 		if !densesEqual(gotT, wantT, 1e-12) {
 			t.Errorf("%s partitioned adjoint mismatch", c.op.Format())
@@ -92,7 +91,7 @@ func TestStencilOperatorRelationsSound(t *testing.T) {
 			x[i] = float64(i%13) + 1
 		}
 		want := make([]float64, n)
-		c.op.MultiplyAdd(want, x)
+		SpMV(c.op, want, x)
 		rp := index.EqualPartition(c.op.Range(), 3)
 		for p := 0; p < 3; p++ {
 			kset := c.op.RowRelation().Preimage(rp.Piece(p))

@@ -51,16 +51,6 @@ func (a *VirtualTile) NNZ() int64 { return a.nnz }
 // Format implements Matrix.
 func (a *VirtualTile) Format() string { return "VirtualTile" }
 
-// MultiplyAdd implements Matrix; VirtualTile has no entries to multiply.
-func (a *VirtualTile) MultiplyAdd(y, x []float64) {
-	panic("sparse: VirtualTile is structure-only; use a virtual planner")
-}
-
-// MultiplyAddT implements Matrix.
-func (a *VirtualTile) MultiplyAddT(y, x []float64) {
-	panic("sparse: VirtualTile is structure-only; use a virtual planner")
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *VirtualTile) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	panic("sparse: VirtualTile is structure-only; use a virtual planner")
